@@ -41,13 +41,13 @@ from .snapshot import (
     SubsystemCut,
     new_snapshot_id,
 )
-from .threaded import LockedSafeTimeService, ThreadedCoSimulation
+from .threaded import ThreadedCoSimulation
 from .topology import communication_digraph, offending_cycles, validate
 
 __all__ = [
     "Channel", "ChannelComponent", "ChannelEndpoint", "ChannelMode",
     "ChannelSpec", "CoSimulation", "Deployment", "Design",
-    "FAILURE_POLICIES", "GlobalSnapshot", "LockedSafeTimeService",
+    "FAILURE_POLICIES", "GlobalSnapshot",
     "MP_FAILURE_POLICIES", "MigrationRecord",
     "MultiprocessCoSimulation", "NetSpec", "NodeArchive",
     "PiaNode", "PortableImage", "RecoveryManager", "SafeTimeClient",

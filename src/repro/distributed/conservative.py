@@ -105,52 +105,50 @@ class SafeTimeService:
     a chain never refreshes on its own, yet its stale horizons must not
     poison the grants it hands out.  The simple-cycle-only topology rule
     bounds this recursion.
+
+    The refresh makes blocking network calls, so it runs *outside* the
+    node's lock (holding it there would deadlock two nodes refreshing
+    towards each other); only the grant itself is taken under the lock,
+    so a request served from another thread never interleaves with the
+    node's own round.
     """
 
-    def __init__(self, node: "PiaNode", *,
-                 client_for=None,
-                 conservative_override=lambda: False) -> None:
+    def __init__(self, node: "PiaNode") -> None:
         self.node = node
-        #: Resolver from subsystem name to its :class:`SafeTimeClient`.
-        self.client_for = client_for
-        self.conservative_override = conservative_override
-        self.requests_served = 0
         node.call_services[MessageKind.SAFE_TIME_REQUEST] = self.serve
 
     def serve(self, message: Message) -> Message:
         requester, target, path = message.payload
-        subsystem = self.node.subsystem(target)
-        self.requests_served += 1
+        node = self.node
+        subsystem = node.subsystem(target)
         subsystem.scheduler.telemetry.count("safetime.served")
         desired = message.time
-        if self.client_for is not None:
-            client = self.client_for(target)
-            if client is not None:
-                client.refresh(desired, exclude=requester,
-                               path=tuple(path) + (target,))
-        grant = compute_grant(subsystem, requester,
-                              conservative_override=self.conservative_override())
-        endpoint = _endpoint_towards(subsystem, requester)
-        # An unsatisfied request leaves the peer stalled; remember what it
-        # wanted so a batching executor can push a grant the moment the
-        # floor passes it, sparing the peer its next request round trip.
-        endpoint.peer_want = desired if grant < desired else 0.0
-        endpoint.injected_reported = endpoint.injected
-        endpoint.granted_reported = grant
-        # The reply carries consumption/production counts so the requester
-        # can (a) release confirmed echo-ledger entries and (b) refuse the
-        # grant while our messages to it are still in flight.
+        node.clients[target].refresh(desired, exclude=requester,
+                                     path=tuple(path) + (target,))
+        with node.lock:
+            grant = compute_grant(
+                subsystem, requester,
+                conservative_override=node.conservative_override())
+            endpoint = _endpoint_towards(subsystem, requester)
+            # An unsatisfied request leaves the peer stalled; remember what
+            # it wanted so the node can push a grant the moment the floor
+            # passes it, sparing the peer its next request round trip.
+            endpoint.peer_want = desired if grant < desired else 0.0
+            endpoint.injected_reported = endpoint.injected
+            endpoint.granted_reported = grant
+            # The reply carries consumption/production counts so the
+            # requester can (a) release confirmed echo-ledger entries and
+            # (b) refuse the grant while our messages to it are in flight.
+            counts = (endpoint.injected, endpoint.forwarded)
         return message.reply(MessageKind.SAFE_TIME_REPLY, time=grant,
-                             payload=(endpoint.injected, endpoint.forwarded))
+                             payload=counts)
 
 
 class SafeTimeClient:
     """Per-subsystem client side: refresh horizons, compute run bounds."""
 
-    def __init__(self, subsystem: "Subsystem", *,
-                 conservative_override=lambda: False) -> None:
+    def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
-        self.conservative_override = conservative_override
         self.requests_sent = 0
         # Request ids are purely diagnostic (calls are synchronous, so
         # nothing correlates by id), but they are *encoded on the wire* —
@@ -160,9 +158,11 @@ class SafeTimeClient:
         self._request_ids = itertools.count(1)
 
     def _restricting_endpoints(self):
+        # Optimistic channels restrict too while the node's executor
+        # forces conservatism (a post-rollback window).
+        override = self.subsystem.node.conservative_override
         for endpoint in self.subsystem.channels.values():
-            if endpoint.mode is ChannelMode.CONSERVATIVE \
-                    or self.conservative_override():
+            if endpoint.mode is ChannelMode.CONSERVATIVE or override():
                 yield endpoint
 
     def horizon(self) -> float:

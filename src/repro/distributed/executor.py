@@ -1,13 +1,22 @@
 """The deterministic co-simulation executor.
 
-Orchestrates a set of Pia nodes in one process: pumps the transport,
-enforces the conservative safe-time discipline, triggers periodic
-Chandy-Lamport snapshots, and recovers from optimistic stragglers by
-coordinated rollback.  Being cooperative and single-threaded, it gives the
-same total control over execution order the paper obtains by tricking the
-JVM scheduler (section 3.1) — and makes every distributed experiment
-reproducible bit for bit.  The genuinely concurrent deployment lives in
-:mod:`repro.distributed.threaded`.
+Every Pia node runs the same protocol step, whatever drives it: the
+:class:`~repro.distributed.node.PiaNode` pumps its channels, advances its
+subsystems under their safe-time horizons, serves its peers' safe-time
+requests and builds the grants its frames carry.  An executor only
+decides *when* that happens.  :class:`CoSimulation` drives every node
+from one loop in one thread: it pumps all nodes before each subsystem,
+takes subsystems in global name order, pushes grants to stalled peers at
+round boundaries, triggers periodic Chandy-Lamport snapshots, and
+recovers from optimistic stragglers by coordinated rollback.  Being
+cooperative and single-threaded, it gives the same total control over
+execution order the paper obtains by tricking the JVM scheduler (section
+3.1) — and makes every distributed experiment reproducible bit for bit.
+
+The construction code here (nodes, subsystems, channels, transport,
+telemetry, fault plane) is shared with the thread-per-node driver in
+:mod:`repro.distributed.threaded`; the process-per-node driver is
+:mod:`repro.distributed.multiprocess`.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from ..core.errors import (
     DeadlockError,
     LinkDown,
     NodeFailure,
+    SimulationError,
 )
 from ..core.runlevel import (
     DetailSlider,
@@ -33,14 +43,7 @@ from ..faults import FailureDetector, FaultInjector, FaultPlan, RetryPolicy
 from ..observability import RunReport, Telemetry, TraceKind, run_report
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import SAME_HOST, LatencyModel
-from ..transport.message import Message, MessageKind
 from .channel import Channel, ChannelMode, StragglerError
-from .conservative import (
-    SafeTimeClient,
-    SafeTimeService,
-    UNBOUNDED,
-    compute_grant,
-)
 from .node import PiaNode
 from .optimistic import RecoveryManager
 from .snapshot import SnapshotManager, SnapshotRegistry, new_snapshot_id
@@ -52,6 +55,9 @@ FAILURE_POLICIES = ("recover", "raise", "drop-node")
 
 class CoSimulation:
     """A complete distributed Pia system under deterministic execution."""
+
+    #: Whether this driver can roll back, which optimistic channels need.
+    supports_optimism = True
 
     def __init__(self, *, transport: Optional[InMemoryTransport] = None,
                  default_model: LatencyModel = SAME_HOST,
@@ -67,11 +73,6 @@ class CoSimulation:
                                    batching=batching)
         if batching:
             self.transport.batching = True
-        # Batched transports flush per-destination frames at safe points;
-        # the executor supplies the safe-time grants piggybacked on them.
-        set_provider = getattr(self.transport, "set_piggyback_provider", None)
-        if set_provider is not None:
-            set_provider(self._piggyback_grants)
         #: Run telemetry shared by every layer; on by default (the
         #: disabled path is a single attribute read per hot-path visit).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -88,7 +89,6 @@ class CoSimulation:
         self.recovery.on_rollback = self._restore_switchpoint_state
         #: snapshot id -> (switchpoint fired flags, switch history).
         self._switchpoint_states: Dict[str, tuple] = {}
-        self._sync: Dict[str, SafeTimeClient] = {}
         self._managers: Dict[str, SnapshotManager] = {}
         #: Take a Chandy-Lamport snapshot every this many virtual seconds
         #: (needed whenever optimistic channels are in use).
@@ -153,9 +153,9 @@ class CoSimulation:
         if name in self.nodes:
             raise ConfigurationError(f"duplicate node {name!r}")
         node = PiaNode(name, self.transport)
+        node.conservative_override = self._conservative_now
+        node.offline = self._offline
         self.nodes[name] = node
-        SafeTimeService(node, client_for=self._sync.get,
-                        conservative_override=self._conservative_now)
         manager = SnapshotManager(
             node, self.registry, expected_subsystems=lambda: set(self.subsystems))
         manager.telemetry = self.telemetry
@@ -180,8 +180,6 @@ class CoSimulation:
         node.add_subsystem(subsystem)
         subsystem.attach_telemetry(self.telemetry)
         self.subsystems[subsystem.name] = subsystem
-        self._sync[subsystem.name] = SafeTimeClient(
-            subsystem, conservative_override=self._conservative_now)
         # Switchpoints must be evaluated after every event, not just at
         # run-slice boundaries — a slice can be the whole simulation.
         subsystem.scheduler.post_step_hooks.append(
@@ -193,6 +191,10 @@ class CoSimulation:
                 delay: float = 0.0,
                 channel_id: Optional[str] = None) -> Channel:
         """Create the channel between two subsystems (one per pair)."""
+        if mode is not ChannelMode.CONSERVATIVE and not self.supports_optimism:
+            raise SimulationError(
+                f"{type(self).__name__} supports conservative channels only; "
+                "use CoSimulation for optimistic channels")
         if channel_id is None:
             channel_id = f"ch{next(self._channel_ids)}-{a.name}-{b.name}"
         if a.node is None or b.node is None:
@@ -245,7 +247,8 @@ class CoSimulation:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
 
     def safe_time_requests(self) -> int:
-        return sum(client.requests_sent for client in self._sync.values())
+        return sum(client.requests_sent for node in self.nodes.values()
+                   for client in node.clients.values())
 
     def report(self, *, title: Optional[str] = None) -> RunReport:
         """Assemble the :class:`~repro.observability.RunReport` so far."""
@@ -340,52 +343,6 @@ class CoSimulation:
         return any(ch.mode is ChannelMode.OPTIMISTIC
                    for ch in self.channels.values())
 
-    def _piggyback_grants(self, src: str, dst: str) -> List[Message]:
-        """Safe-time grants riding on a ``src``→``dst`` batch frame.
-
-        Called by a batching transport at flush time.  For every live
-        conservative endpoint on ``src`` whose peer lives on ``dst``, the
-        current grant (plus consumption/production counts, exactly as in
-        a served reply) is appended behind the frame's data messages —
-        so by the time the receiver applies it, everything the grant's
-        floor assumed has already been injected.  Peers then advance
-        without a synchronous safe-time round trip: O(peers) frames per
-        round instead of O(messages + requests).
-        """
-        if src in self._down_nodes or src in self._dead_nodes:
-            return []
-        node = self.nodes.get(src)
-        if node is None:
-            return []
-        conservative = self._conservative_now()
-        grants: List[Message] = []
-        for ss_name in sorted(node.subsystems):
-            if ss_name in self._dead_subsystems:
-                continue
-            subsystem = node.subsystems[ss_name]
-            for channel_id in sorted(subsystem.channels):
-                endpoint = subsystem.channels[channel_id]
-                if endpoint.severed or endpoint.peer_node != dst:
-                    continue
-                if endpoint.mode is not ChannelMode.CONSERVATIVE \
-                        and not conservative:
-                    continue
-                grant = compute_grant(subsystem, endpoint.peer_subsystem,
-                                      conservative_override=conservative)
-                if endpoint.peer_want and grant >= endpoint.peer_want:
-                    # This grant satisfies the peer's recorded stall; no
-                    # standalone push needed on top of this frame.
-                    endpoint.peer_want = 0.0
-                endpoint.injected_reported = endpoint.injected
-                endpoint.granted_reported = grant
-                grants.append(Message(
-                    kind=MessageKind.SAFE_TIME_GRANT,
-                    src=src, dst=dst, channel=channel_id,
-                    time=grant,
-                    payload=(endpoint.injected, endpoint.forwarded),
-                ))
-        return grants
-
     def _batching(self) -> bool:
         return bool(getattr(self.transport, "batching", False))
 
@@ -412,80 +369,21 @@ class CoSimulation:
 
     def _round_flush(self) -> bool:
         """Round boundary under batching: ship every queued frame, then
-        push standalone grants to peers recorded as stalled whose want
-        the local floor has now passed.  Each push is one frame replacing
-        the two-frame request round trip the peer would otherwise issue.
+        let each node push the grants its stalled peers are waiting for.
         Returns True if anything moved (counts as round progress)."""
-        push = getattr(self.transport, "push_grants", None)
         acted = self.transport.flush_batches() > 0
-        if push is None:
-            return acted
-        conservative = self._conservative_now()
         for node in self._ordered_nodes():
-            by_dst: Dict[str, List[Message]] = {}
-            for ss_name in sorted(node.subsystems):
-                if ss_name in self._dead_subsystems:
-                    continue
-                subsystem = node.subsystems[ss_name]
-                # A subsystem that can still run will talk to its peers
-                # through ordinary data frames (whose piggybacked grants
-                # carry everything below for free); only one that cannot —
-                # stalled below its next event, or idle — has news its
-                # peers may never otherwise learn.
-                client = self._sync.get(ss_name)
-                next_time = subsystem.next_event_time()
-                runnable = (next_time != float("inf")
-                            and (client is None
-                                 or client.horizon() >= next_time))
-                for channel_id in sorted(subsystem.channels):
-                    endpoint = subsystem.channels[channel_id]
-                    if endpoint.severed:
-                        continue
-                    if endpoint.peer_node in self._down_nodes \
-                            or endpoint.peer_node in self._dead_nodes:
-                        continue
-                    if endpoint.mode is not ChannelMode.CONSERVATIVE \
-                            and not conservative:
-                        continue
-                    want = endpoint.peer_want
-                    # Unreported consumption must reach the peer so it can
-                    # release its echo ledger (it skips requests under
-                    # batching, counting on exactly this push).
-                    stale = endpoint.injected > endpoint.injected_reported
-                    if runnable and not want:
-                        # Still making local progress: the next data frame
-                        # (or a later round's push, once stalled or idle)
-                        # reports counts and grants for free.
-                        continue
-                    grant = compute_grant(
-                        subsystem, endpoint.peer_subsystem,
-                        conservative_override=conservative)
-                    if want:
-                        # The peer told us what it needs: push only once
-                        # the floor passes it (or counts must flow).
-                        if grant < want and not stale:
-                            continue
-                    elif not stale and grant <= endpoint.granted_reported:
-                        continue    # nothing the peer doesn't already know
-                    if want and grant >= want:
-                        endpoint.peer_want = 0.0
-                    endpoint.injected_reported = endpoint.injected
-                    endpoint.granted_reported = grant
-                    by_dst.setdefault(endpoint.peer_node, []).append(Message(
-                        kind=MessageKind.SAFE_TIME_GRANT,
-                        src=node.name, dst=endpoint.peer_node,
-                        channel=channel_id, time=grant,
-                        payload=(endpoint.injected, endpoint.forwarded),
-                    ))
-            for dst, grants in sorted(by_dst.items()):
-                if push(node.name, dst, grants):
-                    acted = True
-                    if self.telemetry.enabled:
-                        self.telemetry.count("safetime.pushed", len(grants))
+            acted = node.push_grants() or acted
         return acted
 
     def _conservative_now(self) -> bool:
-        return self.recovery.in_conservative_window(self.global_time())
+        recovery = self.recovery
+        # No rollback yet means no window: skip the global-time scan.
+        return recovery.conservative_until != float("-inf") \
+            and recovery.in_conservative_window(self.global_time())
+
+    def _offline(self, name: str) -> bool:
+        return name in self._down_nodes or name in self._dead_nodes
 
     # ------------------------------------------------------------------
     # execution
@@ -510,8 +408,7 @@ class CoSimulation:
 
     def _ordered_nodes(self) -> List[PiaNode]:
         return [self.nodes[name] for name in sorted(self.nodes)
-                if name not in self._down_nodes
-                and name not in self._dead_nodes]
+                if not self._offline(name)]
 
     def _ordered_subsystems(self) -> List[Subsystem]:
         out = []
@@ -581,26 +478,17 @@ class CoSimulation:
             progress = self._pump_all() > 0 or acted
             for subsystem in self._ordered_subsystems():
                 self._pump_all()
-                client = self._sync[subsystem.name]
-                next_time = subsystem.next_event_time()
-                if next_time == float("inf") or next_time > until:
-                    continue
-                horizon = client.horizon()
                 try:
-                    if horizon < next_time:
-                        desired = min(next_time, until)
-                        if self._should_refresh(subsystem.name, desired):
-                            horizon = client.refresh(desired)
-                    if next_time <= horizon:
-                        # The horizon is re-read before every dispatch:
-                        # sending on a channel shrinks it via the echo bound.
-                        count = subsystem.run(until, horizon=client.horizon)
-                        dispatched += count
-                        progress = progress or count > 0
-                        self._poll_switchpoints()
+                    count = subsystem.node.advance(
+                        subsystem, until, should_refresh=self._should_refresh)
                 except LinkDown as down:
                     self._absorb_link_down(down)
                     progress = True
+                    continue
+                if count is not None:
+                    dispatched += count
+                    progress = progress or count > 0
+                    self._poll_switchpoints()
             if self._batching():
                 progress = self._round_flush() or progress
             self._maybe_periodic_snapshot()
@@ -652,7 +540,7 @@ class CoSimulation:
         detector = self.detector
         now_round = float(self.rounds)
         for name in self.nodes:
-            if name not in self._down_nodes and name not in self._dead_nodes:
+            if not self._offline(name):
                 detector.beat(name, now_round)
         acted = False
         now = self.global_time()
@@ -672,7 +560,7 @@ class CoSimulation:
         if name not in self.nodes:
             raise ConfigurationError(
                 f"scheduled crash for unknown node {name!r}")
-        if name in self._dead_nodes or name in self._down_nodes:
+        if self._offline(name):
             return
         self._down_nodes.add(name)
         self.fault_injector.mark_down(name)
@@ -689,7 +577,7 @@ class CoSimulation:
         if self.fault_injector is None:
             raise down
         dst = down.dst
-        if dst in self._down_nodes or dst in self._dead_nodes:
+        if self._offline(dst):
             return    # already waiting on the failure detector
         if dst in self.nodes:
             self._crash_node(dst)
@@ -756,7 +644,7 @@ class CoSimulation:
     def _report_deadlock(self, until: float) -> None:
         detail = []
         for subsystem in self._ordered_subsystems():
-            client = self._sync[subsystem.name]
+            client = subsystem.node.clients[subsystem.name]
             detail.append(
                 f"{subsystem.name}: t={subsystem.now:g} "
                 f"next={subsystem.next_event_time():g} "

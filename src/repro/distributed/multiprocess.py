@@ -1,4 +1,4 @@
-"""Process-per-node execution: real parallelism across OS processes.
+"""Process-per-node driver: real parallelism across OS processes.
 
 The paper's deployment is one JVM *process* per Pia node, joined by RMI —
 genuinely parallel machines.  :class:`ThreadedCoSimulation` mirrors the
@@ -7,7 +7,10 @@ adding nodes never adds cores.  This module completes the picture: each
 :class:`~repro.distributed.node.PiaNode` runs in its own OS process over
 the real :class:`~repro.transport.tcp.TcpTransport` (loopback), with the
 batched fast path and grant piggybacking on by default, so compute-heavy
-subsystems scale with cores.
+subsystems scale with cores.  The protocol step is the node's own
+:meth:`~repro.distributed.node.PiaNode.round`, the same one the threaded
+driver runs; a worker process only decides when to run it, between
+control-plane messages.
 
 Three problems are specific to crossing a process boundary:
 
@@ -102,7 +105,6 @@ from ..observability.export import stall_attribution, subject_nodes
 from ..observability.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
 from ..observability.report import _link_rows, _subsystem_row
 from ..transport.codec import VERSION as CODEC_VERSION
-from ..transport.message import Message, MessageKind
 from ..transport.shm import (
     DEFAULT_RING_CAPACITY,
     SharedMemoryTransport,
@@ -110,7 +112,6 @@ from ..transport.shm import (
 )
 from ..transport.tcp import TcpTransport
 from .channel import Channel, ChannelMode
-from .conservative import SafeTimeClient, compute_grant
 from .migration import (
     MigrationRecord,
     NodeArchive,
@@ -120,7 +121,6 @@ from .migration import (
 )
 from .node import PiaNode
 from .snapshot import SnapshotManager, SnapshotRegistry, new_snapshot_id
-from .threaded import LockedSafeTimeService
 
 #: Failure policies the multiprocess executor understands.
 MP_FAILURE_POLICIES = ("raise", "migrate")
@@ -304,7 +304,7 @@ class _ControlInbox:
 
 class _Worker:
     """The child-process side: one node, its subsystems, and a control
-    loop mirroring the threaded executor's per-node worker."""
+    loop that runs the node's rounds between control messages."""
 
     def __init__(self, spec: _WorkerSpec, conn,
                  inbox: Optional[_ControlInbox] = None) -> None:
@@ -340,16 +340,11 @@ class _Worker:
             self.telemetry.health = self.health_monitor
         #: Counter values already shipped in streaming deltas.
         self._streamed: Dict[str, int] = {}
-        self.lock = threading.RLock()
         self.node = PiaNode(spec.node, self.transport)
-        self.clients: Dict[str, SafeTimeClient] = {}
         for sspec in spec.subsystems:
             subsystem = sspec.build()
             self.node.add_subsystem(subsystem)
             subsystem.attach_telemetry(self.telemetry)
-            self.clients[subsystem.name] = SafeTimeClient(subsystem)
-        LockedSafeTimeService(self.node, self.lock, self.clients.get)
-        self.transport.set_piggyback_provider(self._piggyback_grants)
         self._attach_channels()
         # Chandy-Lamport participation: the coordinator triggers cuts
         # over the control pipe; marks cross between workers as ordinary
@@ -393,60 +388,11 @@ class _Worker:
                             "factory must wire it")
                     endpoint.tap(net)
 
-    def _piggyback_grants(self, src: str, dst: str) -> List[Message]:
-        """Safe-time grants for an outgoing batch frame (see the threaded
-        executor's provider — same try-acquire discipline)."""
-        if src != self.node.name or not self.lock.acquire(blocking=False):
-            return []
-        try:
-            grants: List[Message] = []
-            for ss_name in sorted(self.node.subsystems):
-                subsystem = self.node.subsystems[ss_name]
-                for channel_id in sorted(subsystem.channels):
-                    endpoint = subsystem.channels[channel_id]
-                    if endpoint.severed or endpoint.peer_node != dst:
-                        continue
-                    grants.append(Message(
-                        kind=MessageKind.SAFE_TIME_GRANT,
-                        src=src, dst=dst, channel=channel_id,
-                        time=compute_grant(subsystem,
-                                           endpoint.peer_subsystem),
-                        payload=(endpoint.injected, endpoint.forwarded),
-                    ))
-            return grants
-        finally:
-            self.lock.release()
-
-    # ------------------------------------------------------------------
-    def _one_round(self) -> bool:
-        progress = False
-        with self.lock:
-            progress |= self.node.pump() > 0
-        for name in sorted(self.node.subsystems):
-            subsystem = self.node.subsystems[name]
-            client = self.clients[name]
-            with self.lock:
-                self.node.pump()
-                next_time = subsystem.next_event_time()
-            if next_time == float("inf") or next_time > self.until:
-                continue
-            # Blocking network call: outside the lock, or two nodes
-            # refreshing towards each other deadlock.
-            if client.horizon() < next_time:
-                client.refresh(min(next_time, self.until))
-            with self.lock:
-                if subsystem.next_event_time() <= client.horizon():
-                    count = subsystem.run(self.until, horizon=client.horizon)
-                    self.dispatched += count
-                    progress = progress or count > 0
-        self.transport.flush_batches(src=self.node.name)
-        return progress
-
     def _status(self) -> dict:
-        with self.lock:
+        with self.node.lock:
             rows = []
             for name, subsystem in sorted(self.node.subsystems.items()):
-                client = self.clients[name]
+                client = self.node.clients[name]
                 horizon = client.horizon()
                 blocking = client.blocking_endpoint()
                 next_time = subsystem.next_event_time()
@@ -508,7 +454,7 @@ class _Worker:
         # gauge registry — gauges land in the report's deterministic
         # projection.  The bundle's own "rounds" field carries it for
         # status views instead.
-        with self.lock:
+        with self.node.lock:
             subsystems = [_subsystem_row(subsystem)
                           for __, subsystem
                           in sorted(self.node.subsystems.items())]
@@ -548,7 +494,7 @@ class _Worker:
         round, so in-flight traffic (data, marks, fault-held deliveries)
         keeps draining while the simulation itself is stopped."""
         try:
-            with self.lock:
+            with self.node.lock:
                 moved = self.node.pump() > 0
             self.transport.flush_batches(src=self.node.name)
         except TransportError:
@@ -558,7 +504,7 @@ class _Worker:
         return moved
 
     def _initiate_cut(self, snapshot_id: str) -> None:
-        with self.lock:
+        with self.node.lock:
             for name in sorted(self.node.subsystems):
                 self.snapshots.initiate(self.node.subsystems[name],
                                         snapshot_id)
@@ -579,7 +525,7 @@ class _Worker:
             if not self._cut_complete(snapshot_id):
                 continue
             self._open_cuts.discard(snapshot_id)
-            with self.lock:
+            with self.node.lock:
                 archive = archive_node(
                     self.node, self.registry, snapshot_id,
                     self.telemetry.spans.ordinals())
@@ -594,7 +540,7 @@ class _Worker:
         if flight.enabled and len(flight):
             flight.note("restore", self.node.name, epoch=epoch)
             flight.dump(tag=self.node.name, reason="restore")
-        with self.lock:
+        with self.node.lock:
             # Fence first: traffic minted in the discarded world must not
             # leak into the restored one.  ``set_epoch`` also rebases the
             # logical wire counters to a balanced zero on every worker.
@@ -655,7 +601,7 @@ class _Worker:
                         self.transport.detach_node_rings(message[1])
                 elif tag == "start":
                     self.until = message[1]
-                    with self.lock:
+                    with self.node.lock:
                         self.node.start()
                     running = True
                     halted = False
@@ -705,7 +651,8 @@ class _Worker:
                     inbox.park(60.0)
                 continue
             try:
-                self.progress = self._one_round()
+                self.progress, dispatched = self.node.round(self.until)
+                self.dispatched += dispatched
             except TransportError:
                 if not self.spec.supervised:
                     raise
@@ -720,7 +667,7 @@ class _Worker:
                 # Sampled at the round boundary, never inside dispatch:
                 # the virtual cadence is deterministic for a given
                 # schedule, the wall cadence is a measurement.
-                with self.lock:
+                with self.node.lock:
                     now = min((ss.now
                                for ss in self.node.subsystems.values()),
                               default=0.0)

@@ -32,6 +32,8 @@ from .message import BatchFrame, Message, MessageKind
 InboxHandler = Callable[[Message], None]
 #: Handles a synchronous call, returning the reply message.
 CallHandler = Callable[[Message], Message]
+#: A node's safe-time grants for its next batch frame to a destination.
+GrantProvider = Callable[[str], List[Message]]
 
 
 class InMemoryTransport:
@@ -46,9 +48,9 @@ class InMemoryTransport:
         #: Coalesce per-destination sends into batch frames (opt-in).
         self.batching = batching
         self.batcher = SendBatcher()
-        #: ``(src, dst) -> [Message]`` hook filled by an executor: extra
-        #: safe-time grants to piggyback on an outgoing batch frame.
-        self.piggyback_provider = None
+        #: Per node: ``dst -> [Message]``, the safe-time grants to
+        #: piggyback on that node's outgoing batch frames (see register).
+        self._grant_providers: Dict[str, GrantProvider] = {}
         #: Per-transport-instance message id stream (stamped at the send
         #: boundary).  Instance-local rather than module-global so a
         #: forked child — which inherits a *copy* of this transport —
@@ -61,10 +63,6 @@ class InMemoryTransport:
         self.telemetry = NULL_TELEMETRY
         #: Fault plane (attach via :meth:`attach_faults`).
         self.fault_injector = None
-
-    def set_piggyback_provider(self, provider) -> None:
-        """Install the executor's grant source for batch flushes."""
-        self.piggyback_provider = provider
 
     def attach_telemetry(self, telemetry) -> None:
         """Feed message traces and per-link counters to ``telemetry``."""
@@ -86,16 +84,20 @@ class InMemoryTransport:
     # registration
     # ------------------------------------------------------------------
     def register(self, name: str,
-                 call_handler: Optional[CallHandler] = None) -> None:
+                 call_handler: Optional[CallHandler] = None,
+                 grant_provider: Optional[GrantProvider] = None) -> None:
         if name in self._inboxes:
             raise TransportError(f"node {name!r} already registered")
         self._inboxes[name] = deque()
         if call_handler is not None:
             self._call_handlers[name] = call_handler
+        if grant_provider is not None:
+            self._grant_providers[name] = grant_provider
 
     def unregister(self, name: str) -> None:
         self._inboxes.pop(name, None)
         self._call_handlers.pop(name, None)
+        self._grant_providers.pop(name, None)
         self.batcher.clear(name)
 
     def nodes(self) -> list:
@@ -209,13 +211,14 @@ class InMemoryTransport:
         if not self.batching:
             return 0
         flushed = 0
-        provider = self.piggyback_provider
+        providers = self._grant_providers
         telemetry = self.telemetry
         for (s, d), members in self.batcher.take(src=src, dst=dst):
             inbox = self._inboxes.get(d)
             if inbox is None:
                 continue    # destination unregistered after enqueue
-            grants = provider(s, d) if provider is not None else []
+            provider = providers.get(s)
+            grants = provider(d) if provider is not None else []
             blob = encode_batch(BatchFrame(s, d, members, grants))
             self.accounting.record_frame(s, d, len(blob), len(members))
             if telemetry.enabled and grants:

@@ -40,6 +40,7 @@ from ..observability.spans import ensure_context, span_details
 from .accounting import NetworkAccounting
 from .batch import SendBatcher
 from .codec import decode, decode_any, encode, encode_batch
+from .inmemory import GrantProvider
 from .latency import SAME_HOST, LatencyModel
 from .message import BatchFrame, Message, MessageKind
 
@@ -277,9 +278,9 @@ class TcpTransport:
         #: Coalesce per-destination sends into batch frames (opt-in).
         self.batching = batching
         self.batcher = SendBatcher()
-        #: ``(src, dst) -> [Message]`` hook filled by an executor: extra
-        #: safe-time grants to piggyback on an outgoing batch frame.
-        self.piggyback_provider = None
+        #: Per node: ``dst -> [Message]``, the safe-time grants to
+        #: piggyback on that node's outgoing batch frames (see register).
+        self._grant_providers: Dict[str, GrantProvider] = {}
         #: Per-transport-instance message id stream (stamped at the send
         #: boundary).  Instance-local so two transports in one process —
         #: or a forked child's inherited copy — never interleave one
@@ -338,10 +339,6 @@ class TcpTransport:
         self.telemetry = NULL_TELEMETRY
         #: Fault plane (attach via :meth:`attach_faults`).
         self.fault_injector = None
-
-    def set_piggyback_provider(self, provider) -> None:
-        """Install the executor's grant source for batch flushes."""
-        self.piggyback_provider = provider
 
     def _wake(self) -> None:
         """Nudge a parked executor after an arrival (see wakeup_hook)."""
@@ -480,8 +477,8 @@ class TcpTransport:
 
     # ------------------------------------------------------------------
     def register(self, name: str,
-                 call_handler: Optional[Callable[[Message], Message]] = None
-                 ) -> int:
+                 call_handler: Optional[Callable[[Message], Message]] = None,
+                 grant_provider: Optional[GrantProvider] = None) -> int:
         """Create the node's endpoint; returns its TCP port."""
         self._guard_process()
         if name in self._endpoints:
@@ -490,6 +487,8 @@ class TcpTransport:
         self._endpoints[name] = endpoint
         if call_handler is not None:
             self._call_handlers[name] = call_handler
+        if grant_provider is not None:
+            self._grant_providers[name] = grant_provider
         return endpoint.port
 
     def unregister(self, name: str) -> None:
@@ -498,6 +497,7 @@ class TcpTransport:
         if endpoint is not None:
             endpoint.close()
         self._call_handlers.pop(name, None)
+        self._grant_providers.pop(name, None)
         self.batcher.clear(name)
         with self._conn_lock:
             for cache in (self._conns, self._call_conns):
@@ -757,12 +757,13 @@ class TcpTransport:
             return 0
         self._guard_process()
         flushed = 0
-        provider = self.piggyback_provider
+        providers = self._grant_providers
         telemetry = self.telemetry
         for (s, d), members in self.batcher.take(src=src, dst=dst):
             if not self._known(d):
                 continue    # destination unregistered after enqueue
-            grants = provider(s, d) if provider is not None else []
+            provider = providers.get(s)
+            grants = provider(d) if provider is not None else []
             blob = encode_batch(BatchFrame(s, d, members, grants,
                                            epoch=self.epoch))
             delay = self.accounting.record_frame(s, d, len(blob),

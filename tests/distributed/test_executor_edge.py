@@ -14,7 +14,7 @@ from repro.core import (
     Transfer,
     WaitUntil,
 )
-from repro.distributed import ChannelMode, CoSimulation
+from repro.distributed import ChannelMode, CoSimulation, ThreadedCoSimulation
 from repro.protocols import packet_protocol
 
 
@@ -72,29 +72,39 @@ class TestRunBounds:
 
 
 class TestConfigurationErrors:
-    def test_duplicate_node(self):
-        cosim = CoSimulation()
+    """Both single-process executors share one construction code path,
+    so they reject the same mistakes with the same typed error."""
+
+    @pytest.fixture(params=[CoSimulation, ThreadedCoSimulation],
+                    ids=["cosim", "threaded"])
+    def executor(self, request):
+        return request.param
+
+    def test_duplicate_node(self, executor):
+        cosim = executor()
         cosim.add_node("n")
         with pytest.raises(ConfigurationError):
             cosim.add_node("n")
 
-    def test_duplicate_subsystem(self):
-        cosim = CoSimulation()
+    def test_duplicate_subsystem(self, executor):
+        cosim = executor()
         node = cosim.add_node("n")
         cosim.add_subsystem(node, "ss")
         with pytest.raises(ConfigurationError):
             cosim.add_subsystem(node, "ss")
 
-    def test_connect_requires_attached_subsystems(self):
+    def test_connect_requires_attached_subsystems(self, executor):
         from repro.core import Subsystem
-        cosim = CoSimulation()
+        cosim = executor()
         with pytest.raises(ConfigurationError):
             cosim.connect(Subsystem("x"), Subsystem("y"))
 
-    def test_unknown_lookups(self):
-        cosim = CoSimulation()
+    def test_unknown_lookups(self, executor):
+        cosim = executor()
         with pytest.raises(ConfigurationError):
             cosim.node("ghost")
+        with pytest.raises(ConfigurationError):
+            cosim.add_subsystem("ghost", "ss")
         with pytest.raises(ConfigurationError):
             cosim.subsystem("ghost")
         with pytest.raises(ConfigurationError):
@@ -102,8 +112,8 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             cosim.set_runlevel("ghost", "word")
 
-    def test_channel_rejects_third_endpoint(self):
-        cosim = CoSimulation()
+    def test_channel_rejects_third_endpoint(self, executor):
+        cosim = executor()
         ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
         ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
         ss_c = cosim.add_subsystem(cosim.add_node("nc"), "sc")
