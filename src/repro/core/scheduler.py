@@ -125,7 +125,9 @@ class Scheduler:
         finally:
             telemetry.cause = None
         self.dispatched += 1
-        telemetry.count("scheduler.dispatched")
+        if not telemetry.enabled:
+            return      # switched off by the handler itself
+        telemetry.registry.handles.dispatched.value += 1
         if event.cause is not None:
             telemetry.trace(TraceKind.DISPATCH, time=event.time,
                             subject=self.subsystem.name,
@@ -145,7 +147,7 @@ class Scheduler:
             flight.note("stall", self.subsystem.name, time=self.now,
                         horizon=limit, next_event=next_time)
         if telemetry.enabled:
-            telemetry.count("scheduler.stalls")
+            telemetry.registry.handles.stalls.value += 1
             head = self.queue.peek()
             cause = head.cause if head is not None else None
             if cause is not None:

@@ -243,7 +243,7 @@ class ChannelEndpoint:
             self.peer_grant = grant
             telemetry = self.subsystem.scheduler.telemetry
             if telemetry.enabled:
-                telemetry.count("safetime.piggybacked")
+                telemetry.registry.handles.piggybacked.value += 1
 
     def reset_sync_state(self, *, forwarded: int = 0,
                          injected: int = 0) -> None:

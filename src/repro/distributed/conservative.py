@@ -121,7 +121,9 @@ class SafeTimeService:
         requester, target, path = message.payload
         node = self.node
         subsystem = node.subsystem(target)
-        subsystem.scheduler.telemetry.count("safetime.served")
+        telemetry = subsystem.scheduler.telemetry
+        if telemetry.enabled:
+            telemetry.registry.handles.served.value += 1
         desired = message.time
         node.clients[target].refresh(desired, exclude=requester,
                                      path=tuple(path) + (target,))
@@ -209,7 +211,8 @@ class SafeTimeClient:
             endpoint.safe_time_requests += 1
             self.requests_sent += 1
             telemetry = self.subsystem.scheduler.telemetry
-            telemetry.count("safetime.requests")
+            if telemetry.enabled:
+                telemetry.registry.handles.requests.value += 1
             reply = node.transport.call(Message(
                 kind=MessageKind.SAFE_TIME_REQUEST,
                 src=node.name,
@@ -230,7 +233,7 @@ class SafeTimeClient:
                 # next refresh.)
                 endpoint.peer_grant = reply.time
                 if telemetry.enabled:
-                    telemetry.count("safetime.grants_accepted")
+                    telemetry.registry.handles.grants_accepted.value += 1
                     telemetry.trace(TraceKind.GRANT, time=reply.time,
                                     subject=self.subsystem.name,
                                     peer=endpoint.peer_subsystem,

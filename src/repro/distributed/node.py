@@ -361,7 +361,7 @@ class PiaNode:
             if push(self.name, dst, grants):
                 pushed = True
                 if telemetry.enabled:
-                    telemetry.count("safetime.pushed", len(grants))
+                    telemetry.registry.handles.pushed.value += len(grants)
         return pushed
 
     # ------------------------------------------------------------------

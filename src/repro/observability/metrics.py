@@ -185,6 +185,47 @@ class Timer:
         return f"<Timer {self.name} total={self.total:.6f}s n={self.count}>"
 
 
+class CounterHandles:
+    """The per-event and per-message counters, bound as attributes.
+
+    Sites on the hot path bump ``handles.<attr>.value`` directly instead
+    of calling :meth:`~.telemetry.Telemetry.count`: no name formatting,
+    registry lookup or method call per message.  The first read of an
+    attribute creates its counter -- exactly when the first ``count()``
+    would have, so the snapshot's key set is unchanged -- and caches the
+    :class:`Counter` as a plain instance attribute.  The registry makes a
+    fresh instance whenever it forgets its counters, so a handle never
+    outlives the counter it points to.
+    """
+
+    #: Attribute -> counter name.
+    NAMES = {
+        "dispatched": "scheduler.dispatched",
+        "stalls": "scheduler.stalls",
+        "messages": "transport.messages",
+        "bytes": "transport.bytes",
+        "frames_sent": "transport.frames_sent",
+        "bytes_on_wire": "transport.bytes_on_wire",
+        "requests": "safetime.requests",
+        "served": "safetime.served",
+        "grants_accepted": "safetime.grants_accepted",
+        "piggybacked": "safetime.piggybacked",
+        "piggyback_sent": "safetime.piggyback_sent",
+        "pushed": "safetime.pushed",
+    }
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
+        self._registry = registry
+
+    def __getattr__(self, attr: str) -> Counter:
+        name = self.NAMES.get(attr)
+        if name is None:
+            raise AttributeError(attr)
+        counter = self._registry.counter(name)
+        setattr(self, attr, counter)
+        return counter
+
+
 class MetricsRegistry:
     """Lazily creates and owns every metric, keyed by name."""
 
@@ -193,12 +234,17 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.timers: Dict[str, Timer] = {}
+        #: Bound hot counters (see :class:`CounterHandles`).
+        self.handles = CounterHandles(self)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         metric = self.counters.get(name)
         if metric is None:
-            metric = self.counters[name] = Counter(name)
+            # setdefault is one atomic dict operation: threads racing to
+            # create a counter all get the one that went in, so a handle
+            # bound by any of them is the counter the snapshot reads.
+            metric = self.counters.setdefault(name, Counter(name))
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -242,3 +288,4 @@ class MetricsRegistry:
         self.gauges.clear()
         self.histograms.clear()
         self.timers.clear()
+        self.handles = CounterHandles(self)

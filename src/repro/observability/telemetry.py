@@ -11,12 +11,22 @@ Instrumentation sites follow one discipline::
 
     t = self.telemetry
     if t.enabled:
-        t.count("scheduler.dispatched")
-        t.trace(TraceKind.DISPATCH, time=..., subject=...)
+        t.count("checkpoint.saves")
+        t.trace(TraceKind.CHECKPOINT_SAVE, time=..., subject=...)
 
 The ``enabled`` check is the no-op fast path: objects never attached to a
 real telemetry hold the shared :data:`NULL_TELEMETRY`, whose ``enabled``
 is permanently ``False`` — one attribute read per hot-path visit.
+
+Sites that run once per event or per message bump a bound counter
+instead of calling :meth:`Telemetry.count`::
+
+    if t.enabled:
+        t.registry.handles.dispatched.value += 1
+
+(see :class:`~.metrics.CounterHandles`), and :meth:`Telemetry.trace`
+appends a raw tuple that becomes a :class:`~.trace.TraceRecord` only if
+it is read before the ring evicts it.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Optional
 from .flight import FlightRecorder
 from .metrics import MetricsRegistry, Timer
 from .spans import SpanMinter
-from .trace import TraceBuffer, TraceRecord
+from .trace import TraceBuffer
 
 _NULL_TIMER = nullcontext()
 
@@ -109,9 +119,8 @@ class Telemetry:
         """Append one structured record (no-op while disabled)."""
         if not self.enabled:
             return
-        self.trace_buffer.append(
-            TraceRecord(next(self._seq), kind, time, subject, details,
-                        wall=_time.time()))
+        self.trace_buffer.append_raw(
+            (next(self._seq), kind, time, subject, details, _time.time()))
 
     # ------------------------------------------------------------------
     def attach_series(self, recorder) -> "object":

@@ -78,39 +78,52 @@ class TraceRecord:
 
 
 class TraceBuffer:
-    """A ring buffer of :class:`TraceRecord`; bounded, never blocking."""
+    """A bounded ring of trace entries; never blocking.
+
+    The ring holds raw ``(seq, kind, time, subject, details, wall)``
+    tuples -- the field order of :class:`TraceRecord` -- because most
+    entries of a long run are evicted unread.  Records are built only
+    when read.
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"trace capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self._records: "deque[TraceRecord]" = deque(maxlen=capacity)
+        self._entries: deque = deque(maxlen=capacity)
         #: Records ever appended (dropped ones included).
         self.appended = 0
 
     def append(self, record: TraceRecord) -> None:
-        self._records.append(record)
+        self.append_raw((record.seq, record.kind, record.time,
+                         record.subject, record.details, record.wall))
+
+    def append_raw(self, entry: tuple) -> None:
+        """Append one entry in :class:`TraceRecord` field order."""
+        self._entries.append(entry)
         self.appended += 1
 
     @property
     def dropped(self) -> int:
         """Records evicted by the ring bound."""
-        return self.appended - len(self._records)
+        return self.appended - len(self._entries)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._entries)
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         if kind is None:
-            return list(self._records)
-        return [r for r in self._records if r.kind == kind]
+            return [TraceRecord(*entry) for entry in self._entries]
+        return [TraceRecord(*entry) for entry in self._entries
+                if entry[1] == kind]
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for record in self._records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
+        for entry in self._entries:
+            kind = entry[1]
+            counts[kind] = counts.get(kind, 0) + 1
         return dict(sorted(counts.items()))
 
     def clear(self) -> None:
-        self._records.clear()
+        self._entries.clear()
         self.appended = 0

@@ -31,6 +31,20 @@ class LinkStats:
     #: communication is serialised (conservative, like the paper's setup
     #: where the simulator blocks on channel traffic).
     delay: float = 0.0
+    #: The link's ``link.<src>-><dst>.messages``/``.bytes`` counters and
+    #: the :class:`~repro.observability.metrics.CounterHandles` they were
+    #: bound under (see :meth:`NetworkAccounting.record`).
+    handles: object = field(default=None, repr=False, compare=False)
+    message_counter: object = field(default=None, repr=False, compare=False)
+    byte_counter: object = field(default=None, repr=False, compare=False)
+
+    def bind(self, registry, src: str, dst: str) -> None:
+        """Bind this link's counters in ``registry``; they stay valid
+        while ``registry.handles`` is the instance recorded here."""
+        self.handles = registry.handles
+        link = f"link.{src}->{dst}"
+        self.message_counter = registry.counter(f"{link}.messages")
+        self.byte_counter = registry.counter(f"{link}.bytes")
 
     def record(self, size: int) -> float:
         d = self.model.delay(size, seq=self.messages)
@@ -91,12 +105,18 @@ class NetworkAccounting:
         stats = self._stats(src, dst)
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.count("transport.messages")
-            telemetry.count("transport.bytes", size)
-            telemetry.count("transport.frames_sent")
-            telemetry.count("transport.bytes_on_wire", size)
-            telemetry.count(f"link.{src}->{dst}.messages")
-            telemetry.count(f"link.{src}->{dst}.bytes", size)
+            # Bound handles: no name formatting, lookup or method call
+            # per message (see CounterHandles).
+            registry = telemetry.registry
+            handles = registry.handles
+            handles.messages.value += 1
+            handles.bytes.value += size
+            handles.frames_sent.value += 1
+            handles.bytes_on_wire.value += size
+            if stats.handles is not handles:
+                stats.bind(registry, src, dst)
+            stats.message_counter.value += 1
+            stats.byte_counter.value += size
         delay = stats.record(size)
         health = self.health
         if health is not None:
@@ -109,16 +129,20 @@ class NetworkAccounting:
         stats = self._stats(src, dst)
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.count("transport.messages", messages)
-            telemetry.count("transport.bytes", size)
-            telemetry.count("transport.frames_sent")
-            telemetry.count("transport.bytes_on_wire", size)
+            registry = telemetry.registry
+            handles = registry.handles
+            handles.messages.value += messages
+            handles.bytes.value += size
+            handles.frames_sent.value += 1
+            handles.bytes_on_wire.value += size
+            if stats.handles is not handles:
+                stats.bind(registry, src, dst)
+            stats.message_counter.value += messages
+            stats.byte_counter.value += size
             if messages:
                 # Grant-only push frames carry no data messages and would
                 # only dilute the coalescing histogram.
                 telemetry.observe("transport.batch_size", messages)
-            telemetry.count(f"link.{src}->{dst}.messages", messages)
-            telemetry.count(f"link.{src}->{dst}.bytes", size)
         delay = stats.record_frame(size, messages)
         health = self.health
         if health is not None:

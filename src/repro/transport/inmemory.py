@@ -3,9 +3,13 @@
 Carries :class:`~repro.transport.message.Message` objects between Pia
 nodes living in one process, preserving the properties Pia gets from RMI:
 FIFO ordering per directed link, synchronous request/response calls, and
-(simulated) serialisation — messages are deep-copied through an encode/
-decode cycle so nodes cannot share mutable state by accident, exactly as
-if they had crossed a real wire.
+(simulated) serialisation.  One copy rule covers every path -- unbatched
+sends, both legs of a call, and batch members: a message whose payload
+could be aliased is copied through an encode/decode cycle, so nodes
+cannot share mutable state by accident, exactly as if it had crossed a
+real wire; a message whose payload is immutable is shared, which no
+receiver can tell from a copy.  Every message is still encoded (alone,
+or in its batch frame), so byte counts are exact either way.
 
 Every message is charged against :class:`NetworkAccounting`, which is how
 the "geographically distributed" experiments obtain their modelled network
@@ -111,8 +115,12 @@ class InMemoryTransport:
     # data plane
     # ------------------------------------------------------------------
     def _through_wire(self, message: Message) -> Tuple[Message, int]:
+        """The copy rule of every in-memory path: encode for the exact
+        byte count; decode a private copy only when the payload could
+        be aliased (sharing an immutable payload is indistinguishable
+        from copying it)."""
         blob = encode(message)
-        if self.simulate_wire:
+        if self.simulate_wire and not is_immutable(message.payload):
             return decode(blob), len(blob)
         return message, len(blob)
 
@@ -175,11 +183,9 @@ class InMemoryTransport:
                          injector) -> float:
         """Queue a deliver/duplicate-fated message for the next flush.
 
-        Immutable payloads skip the simulated encode/decode round trip —
-        sharing an immutable object is indistinguishable from copying it —
-        which is the transport half of the copy-elision fast path.  The
-        whole frame is pickled once at flush time either way, so byte
-        accounting stays honest.
+        Members follow the copy rule of :meth:`_through_wire`, but skip
+        its encode: the whole frame is encoded once at flush time, so
+        byte accounting stays exact.
         """
         if self.simulate_wire and not is_immutable(message.payload):
             member = decode(encode(message))
@@ -222,7 +228,8 @@ class InMemoryTransport:
             blob = encode_batch(BatchFrame(s, d, members, grants))
             self.accounting.record_frame(s, d, len(blob), len(members))
             if telemetry.enabled and grants:
-                telemetry.count("safetime.piggyback_sent", len(grants))
+                telemetry.registry.handles.piggyback_sent.value += \
+                    len(grants)
             inbox.extend(members)
             inbox.extend(grants)
             flushed += len(members)

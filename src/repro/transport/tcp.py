@@ -248,11 +248,26 @@ class _NodeEndpoint:
         transport._wake()
 
     def close(self) -> None:
+        """Stop accepting and reap the accept thread.
+
+        Closing a listening socket does not wake a thread blocked on it
+        in ``accept()`` (on Linux); ``shutdown`` does.  A thread left
+        blocked keeps this endpoint -- and through it the transport, its
+        node and their telemetry -- alive for the life of the process,
+        once per run in a warm pool worker.  Receiver threads end when
+        their peer closes the connection.
+        """
         self.running = False
+        try:
+            self.server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.server.close()
         except OSError:
             pass
+        if self.accept_thread is not threading.current_thread():
+            self.accept_thread.join(timeout=1.0)
 
 
 class _Connection:
@@ -771,7 +786,8 @@ class TcpTransport:
             if self.delay_scale > 0:
                 _time.sleep(delay * self.delay_scale)
             if telemetry.enabled and grants:
-                telemetry.count("safetime.piggyback_sent", len(grants))
+                telemetry.registry.handles.piggyback_sent.value += \
+                    len(grants)
             self._send_reliable(s, d, blob, members[-1].time)
             with self.wire_lock:
                 self.wire_out += len(members) + len(grants)

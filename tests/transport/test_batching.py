@@ -22,6 +22,7 @@ from repro.transport import (
     TcpTransport,
 )
 from repro.transport.batch import SendBatcher
+from repro.transport.codec import encode
 from repro.transport.message import BatchFrame, decode_any, encode_batch
 
 from .test_transport import _msg, _poll_until
@@ -220,14 +221,77 @@ class TestCopyElision:
         delivered = t.poll("b")[0].payload
         assert delivered is payload           # elided the encode/decode
 
-    def test_elision_requires_batching(self):
-        """The per-message path always simulates the wire."""
+
+class TestCopyRuleOnEveryPath:
+    """Unbatched sends, call requests and call replies follow the same
+    copy rule as batch members: a payload that could be aliased crosses
+    as a private copy, an immutable one is shared."""
+
+    @staticmethod
+    def _call(payload, reply_payload):
+        t = InMemoryTransport()
+        t.register("a")
+        seen = []
+
+        def handler(request):
+            seen.append(request.payload)
+            return request.reply(MessageKind.SAFE_TIME_REPLY,
+                                 payload=reply_payload)
+
+        t.register("b", call_handler=handler)
+        reply = t.call(_msg(kind=MessageKind.SAFE_TIME_REQUEST,
+                            payload=payload))
+        return seen[0], reply.payload
+
+    def test_unbatched_send_isolates_mutable_payload(self):
+        t = InMemoryTransport()
+        t.register("a")
+        t.register("b")
+        payload = {"mutable": [1, 2]}
+        t.send(_msg(payload=payload))
+        payload["mutable"].append(3)          # mutate after send
+        assert t.poll("b")[0].payload == {"mutable": [1, 2]}
+
+    def test_unbatched_send_shares_immutable_payload(self):
         t = InMemoryTransport()
         t.register("a")
         t.register("b")
         payload = ("word", 17)
         t.send(_msg(payload=payload))
-        assert t.poll("b")[0].payload is not payload
+        assert t.poll("b")[0].payload is payload
+
+    def test_call_request_and_reply_isolate_mutable_payloads(self):
+        request, reply = {"ask": [1]}, {"answer": [2]}
+        got_request, got_reply = self._call(request, reply)
+        request["ask"].append(9)
+        reply["answer"].append(9)
+        assert got_request == {"ask": [1]}
+        assert got_reply == {"answer": [2]}
+        assert got_request is not request and got_reply is not reply
+
+    def test_call_request_and_reply_share_immutable_payloads(self):
+        request, reply = ("ss1", "ss2", ("ss1",)), (3, 4)
+        got_request, got_reply = self._call(request, reply)
+        assert got_request is request
+        assert got_reply is reply
+
+    def test_shared_payloads_are_still_charged_exact_bytes(self):
+        """Eliding the decode never elides the encode: accounting still
+        charges the encoded size of every message."""
+        t = InMemoryTransport()
+        t.register("a")
+        t.register("b")
+        message = _msg(payload=("word", 17))
+        t.send(message)
+        assert t.accounting.links[("a", "b")].bytes == len(encode(message))
+
+    def test_without_wire_simulation_nothing_is_copied(self):
+        t = InMemoryTransport(simulate_wire=False)
+        t.register("a")
+        t.register("b")
+        payload = {"mutable": [1, 2]}
+        t.send(_msg(payload=payload))
+        assert t.poll("b")[0].payload is payload
 
 
 class TestTcpBatching:
